@@ -80,7 +80,7 @@ func main() {
 		Agg:     &agg.WeightedAverage{Weights: []float64{1}, Threshold: 0.85},
 	}
 	evalOf := func(sc *cluster.Scorer) eval.ClusterScores {
-		cl := cluster.Cluster(rows, sc, cluster.NewOptions())
+		cl := cluster.Cluster(ctx, rows, sc, cluster.NewOptions())
 		var produced [][]webtable.RowRef
 		for _, members := range cl.Clusters {
 			refs := make([]webtable.RowRef, len(members))

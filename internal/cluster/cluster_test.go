@@ -137,7 +137,7 @@ func TestGreedyClustersSameLabels(t *testing.T) {
 		mkRow(3, 0, "Tom Brady", nil),
 		mkRow(4, 0, "Jerry Rice", nil),
 	}
-	cl := Cluster(rows, labelScorer(), Options{Blocking: true, KLj: false, BatchSize: 1})
+	cl := Cluster(context.Background(), rows, labelScorer(), Options{Blocking: true, KLj: false, BatchSize: 1})
 	if cl.NumClusters() != 2 {
 		t.Fatalf("clusters = %d, want 2", cl.NumClusters())
 	}
@@ -155,7 +155,7 @@ func TestGreedySingletons(t *testing.T) {
 		mkRow(1, 0, "Beta Two", nil),
 		mkRow(2, 0, "Gamma Three", nil),
 	}
-	cl := Cluster(rows, labelScorer(), Options{Blocking: true, KLj: false, BatchSize: 8})
+	cl := Cluster(context.Background(), rows, labelScorer(), Options{Blocking: true, KLj: false, BatchSize: 8})
 	if cl.NumClusters() != 3 {
 		t.Errorf("distinct rows should form singletons: %d", cl.NumClusters())
 	}
@@ -168,11 +168,11 @@ func TestKLjRepairsBatchErrors(t *testing.T) {
 		mkRow(0, 0, "Tom Brady", nil),
 		mkRow(1, 0, "Tom Brady", nil),
 	}
-	noKLj := Cluster(rows, labelScorer(), Options{Blocking: true, KLj: false, BatchSize: 8})
+	noKLj := Cluster(context.Background(), rows, labelScorer(), Options{Blocking: true, KLj: false, BatchSize: 8})
 	if noKLj.NumClusters() != 2 {
 		t.Fatalf("batched greedy should have split the pair, got %d clusters", noKLj.NumClusters())
 	}
-	withKLj := Cluster(rows, labelScorer(), Options{Blocking: true, KLj: true, BatchSize: 8, MaxKLjRounds: 3})
+	withKLj := Cluster(context.Background(), rows, labelScorer(), Options{Blocking: true, KLj: true, BatchSize: 8, MaxKLjRounds: 3})
 	if withKLj.NumClusters() != 1 {
 		t.Errorf("KLj should merge the duplicate singletons: %d clusters", withKLj.NumClusters())
 	}
@@ -203,8 +203,8 @@ func TestBlockingOffEquivalence(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		rows = append(rows, mkRow(i, 0, fmt.Sprintf("Entity %d", i%4), nil))
 	}
-	on := Cluster(rows, labelScorer(), Options{Blocking: true, KLj: true, BatchSize: 1, MaxKLjRounds: 3})
-	off := Cluster(rows, labelScorer(), Options{Blocking: false, KLj: true, BatchSize: 1, MaxKLjRounds: 3})
+	on := Cluster(context.Background(), rows, labelScorer(), Options{Blocking: true, KLj: true, BatchSize: 1, MaxKLjRounds: 3})
+	off := Cluster(context.Background(), rows, labelScorer(), Options{Blocking: false, KLj: true, BatchSize: 1, MaxKLjRounds: 3})
 	if on.NumClusters() != off.NumClusters() {
 		t.Errorf("blocking changed the clustering: %d vs %d clusters",
 			on.NumClusters(), off.NumClusters())
@@ -217,7 +217,7 @@ func TestClusteringAssignConsistent(t *testing.T) {
 		mkRow(1, 0, "A B C", nil),
 		mkRow(2, 0, "X Y Z", nil),
 	}
-	cl := Cluster(rows, labelScorer(), NewOptions())
+	cl := Cluster(context.Background(), rows, labelScorer(), NewOptions())
 	for id, members := range cl.Clusters {
 		for _, r := range members {
 			if cl.Assign[r.Ref] != id {
@@ -336,7 +336,7 @@ func BenchmarkClusterGreedy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Cluster(rows, s, opts)
+		Cluster(context.Background(), rows, s, opts)
 	}
 }
 
@@ -350,6 +350,6 @@ func BenchmarkClusterWithKLj(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Cluster(rows, s, opts)
+		Cluster(context.Background(), rows, s, opts)
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -28,6 +29,49 @@ func phiTables(rng *rand.Rand, nTables, vocab int) [][]string {
 	return out
 }
 
+// finalizeReference derives every co-occurrence count from the table sets
+// on each call. It is the executable specification the incremental
+// finalize is tested against.
+func (p *phiModel) finalizeReference() {
+	p.nLabels = len(p.labelTables)
+	p.vectors = make(map[string]map[string]float64, p.nLabels)
+	n := float64(p.nLabels)
+	if n == 0 {
+		return
+	}
+	// Count co-occurrence via table membership.
+	occ := func(l string) float64 { return float64(len(p.labelTables[l])) }
+	for x, xTables := range p.labelTables {
+		vec := make(map[string]float64)
+		// Labels co-occurring with x are those in x's tables.
+		seen := make(map[string]bool)
+		for t := range xTables {
+			for _, y := range p.tables[t] {
+				if y == x || seen[y] {
+					continue
+				}
+				seen[y] = true
+				nxy := 0.0
+				for t2 := range xTables {
+					if p.labelTables[y][t2] {
+						nxy++
+					}
+				}
+				nx, ny := occ(x), occ(y)
+				den := math.Sqrt(nx * ny * (n - nx) * (n - ny))
+				if den == 0 {
+					continue
+				}
+				phi := (n*nxy - nx*ny) / den
+				if phi > 0 {
+					vec[y] = phi
+				}
+			}
+		}
+		p.vectors[x] = vec
+	}
+}
+
 // TestPhiFinalizeIncrementalMatchesReference proves the fast finalize path
 // (incremental co-occurrence counts) is float-identical to the reference
 // derivation, across fresh adds and identical re-adds.
@@ -51,13 +95,9 @@ func TestPhiFinalizeIncrementalMatchesReference(t *testing.T) {
 		}
 	}
 	// Identical re-adds (the engine re-builds each batch table once per
-	// pipeline iteration) must not perturb the counts or trip the stale
-	// flag.
+	// pipeline iteration) must not perturb the counts.
 	for id := 0; id < 10; id++ {
 		addBoth(id, tables[id])
-	}
-	if fast.coocStale {
-		t.Fatal("identical re-add tripped coocStale")
 	}
 	fast.finalize()
 	ref.finalizeReference()
@@ -75,27 +115,23 @@ func TestPhiFinalizeIncrementalMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPhiFinalizeStaleFallsBack proves a re-add with different labels trips
-// the stale flag and finalize then reproduces the reference exactly.
-func TestPhiFinalizeStaleFallsBack(t *testing.T) {
+// TestPhiReAddIsNoOp proves adding a known table ID again leaves the model
+// as it was: a table's labels cannot change once it is in a corpus, so the
+// first add is authoritative.
+func TestPhiReAddIsNoOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	tables := phiTables(rng, 12, 10)
-	fast := newPhiModel()
-	ref := newPhiModel()
+	once, twice := newPhiModel(), newPhiModel()
 	for id, labels := range tables {
-		fast.addTable(id, labels)
-		ref.addTable(id, labels)
+		once.addTable(id, labels)
+		twice.addTable(id, labels)
 	}
-	shrunk := tables[3][:1]
-	fast.addTable(3, shrunk)
-	ref.addTable(3, shrunk)
-	if !fast.coocStale {
-		t.Fatal("differing re-add did not trip coocStale")
-	}
-	fast.finalize()
-	ref.finalizeReference()
-	if !reflect.DeepEqual(fast.vectors, ref.vectors) {
-		t.Fatal("stale fallback diverges from reference")
+	twice.addTable(3, tables[3][:1])
+	twice.addTable(5, append(append([]string(nil), tables[5]...), "label-new"))
+	once.finalize()
+	twice.finalize()
+	if !reflect.DeepEqual(once, twice) {
+		t.Fatal("re-adding known tables changed the model")
 	}
 }
 

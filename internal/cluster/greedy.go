@@ -59,20 +59,12 @@ type clusterState struct {
 }
 
 // Cluster partitions the rows so that rows describing the same instance
-// share a cluster. It is the context-free convenience form of ClusterCtx
-// for callers with nothing to cancel.
-func Cluster(rows []*Row, scorer *Scorer, opts Options) *Clustering {
-	//lteelint:ignore ctxflow ClusterCtx is the cancellable form; this wrapper exists for callers with no context
-	return ClusterCtx(context.Background(), rows, scorer, opts)
-}
-
-// ClusterCtx partitions the rows so that rows describing the same instance
-// share a cluster, honouring ctx's cancellation between batches. It runs
-// the parallelized greedy correlation clustering and, when enabled, the
-// KLj refinement. It is the one-shot form of the Incremental clusterer: a
-// single Add over a fresh Incremental produces exactly the same
+// share a cluster, honouring ctx's cancellation between and within batches.
+// It runs the parallelized greedy correlation clustering and, when enabled,
+// the KLj refinement. It is the one-shot form of the Incremental clusterer:
+// a single Add over a fresh Incremental produces exactly the same
 // clustering.
-func ClusterCtx(ctx context.Context, rows []*Row, scorer *Scorer, opts Options) *Clustering {
+func Cluster(ctx context.Context, rows []*Row, scorer *Scorer, opts Options) *Clustering {
 	inc := NewIncremental(scorer, opts)
 	inc.Add(ctx, rows)
 	return inc.Result()
@@ -155,8 +147,9 @@ type bestScratch struct {
 // greedy sequentially applies batches; scores within a batch are computed
 // in parallel against a snapshot of the clusters, so batch members cannot
 // see each other — the "errors during clustering" the paper accepts and
-// repairs with KLj. Cancellation is checked once per batch: a batch whose
-// scores were computed is still applied in full, so the state never holds a
+// repairs with KLj. Cancellation is checked by the scoring fan-out: a
+// cancelled fan-out returns before its batch is applied, and a batch whose
+// scores were all computed is applied in full, so the state never holds a
 // half-applied batch.
 func (c *clusterer) greedy(ctx context.Context, rows []*Row) error {
 	type decision struct {
@@ -165,19 +158,18 @@ func (c *clusterer) greedy(ctx context.Context, rows []*Row) error {
 		score   float64
 	}
 	for start := 0; start < len(rows); start += c.opts.BatchSize {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		end := start + c.opts.BatchSize
 		if end > len(rows) {
 			end = len(rows)
 		}
 		batch := rows[start:end]
 		decisions := make([]decision, len(batch))
-		par.ForEach(c.opts.Workers, len(batch), func(i int) {
+		if err := par.ForEach(ctx, c.opts.Workers, len(batch), func(i int) {
 			best, score := c.bestCluster(batch[i])
 			decisions[i] = decision{row: batch[i], cluster: best, score: score}
-		})
+		}); err != nil {
+			return err
+		}
 		for _, d := range decisions {
 			if d.cluster >= 0 && d.score > 0 {
 				c.addToCluster(d.cluster, d.row)

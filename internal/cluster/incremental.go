@@ -47,8 +47,8 @@ func NewIncremental(scorer *Scorer, opts Options) *Incremental {
 // KLj refinement when enabled. Adding an empty batch leaves the state
 // untouched.
 //
-// Cancellation checkpoints sit between greedy batches and between KLj
-// rounds; a non-nil error means the clusterer state is torn mid-refinement
+// Cancellation checkpoints sit in each greedy batch's scoring fan-out and
+// between KLj rounds; a non-nil error means the clusterer state is torn mid-refinement
 // and the caller must discard it (the ingestion engine always Adds to a
 // clone, so abandoning the clone is enough).
 func (inc *Incremental) Add(ctx context.Context, rows []*Row) error {

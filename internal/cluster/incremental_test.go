@@ -37,7 +37,7 @@ func TestIncrementalOneShotEqualsCluster(t *testing.T) {
 		opts := NewOptions()
 		opts.KLj = klj
 		opts.Workers = 1
-		want := Cluster(rows, labelScorer(), opts)
+		want := Cluster(context.Background(), rows, labelScorer(), opts)
 
 		inc := NewIncremental(labelScorer(), opts)
 		inc.Add(context.Background(), rows)
@@ -299,7 +299,7 @@ func TestIncrementalMultiBatchCloseToOneShot(t *testing.T) {
 	}
 	opts := NewOptions()
 	opts.Workers = 1
-	full := Cluster(rows, labelScorer(), opts)
+	full := Cluster(context.Background(), rows, labelScorer(), opts)
 
 	inc := NewIncremental(labelScorer(), opts)
 	half := len(rows) / 2

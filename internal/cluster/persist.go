@@ -11,9 +11,8 @@ import (
 
 // scanBlocking, when set, forces block assignment onto the reference
 // full-index TF-IDF search instead of LSH retrieval plus exact re-ranking.
-// It mirrors index.SetScanFuzzy: a benchmark and equivalence-test knob that
-// lets recall be verified against the reference rather than assumed;
-// production code never sets it.
+// It is a benchmark and equivalence-test knob that lets recall be verified
+// against the reference rather than assumed; production code never sets it.
 var scanBlocking atomic.Bool
 
 // SetScanBlocking toggles the reference blocking path. Benchmark and test
@@ -182,9 +181,6 @@ func (pm *PhiModel) Clone() *PhiModel {
 		}
 		nc.labelTables[l] = set
 	}
-	for id, ms := range pm.m.members {
-		nc.members[id] = append([]string(nil), ms...)
-	}
 	for x, ys := range pm.m.cooc {
 		m := make(map[string]int, len(ys))
 		for y, cnt := range ys {
@@ -192,7 +188,6 @@ func (pm *PhiModel) Clone() *PhiModel {
 		}
 		nc.cooc[x] = m
 	}
-	nc.coocStale = pm.m.coocStale
 	return &PhiModel{m: nc}
 }
 

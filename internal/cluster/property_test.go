@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -19,7 +20,7 @@ func TestClusteringPartitionProperty(t *testing.T) {
 			label := fmt.Sprintf("Entity %d", rng.Intn(8))
 			rows[i] = mkRow(i, 0, label, nil)
 		}
-		cl := Cluster(rows, labelScorer(), Options{
+		cl := Cluster(context.Background(), rows, labelScorer(), Options{
 			Blocking: seed%2 == 0, KLj: seed%3 == 0,
 			BatchSize:    int(absMod(seed, 5)) + 1,
 			MaxKLjRounds: 2,
@@ -82,7 +83,7 @@ func TestGreedyIdempotentOnSingletons(t *testing.T) {
 		for i := range rows {
 			rows[i] = mkRow(i, 0, fmt.Sprintf("Unique Entity Number %d Xyz", i), nil)
 		}
-		cl := Cluster(rows, labelScorer(), NewOptions())
+		cl := Cluster(context.Background(), rows, labelScorer(), NewOptions())
 		return cl.NumClusters() == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

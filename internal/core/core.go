@@ -162,7 +162,7 @@ func ClassifyTables(ctx context.Context, k *kb.KB, corpus *webtable.Corpus, minR
 		minRowFrac = 0.3
 	}
 	mctx := match.NewContext(k, corpus)
-	classes, err := par.MapCtx(ctx, workers, corpus.Tables, func(_ int, t *webtable.Table) kb.ClassID {
+	classes, err := par.Map(ctx, workers, corpus.Tables, func(_ int, t *webtable.Table) kb.ClassID {
 		match.EnsureDetected(t)
 		return match.MatchTableClass(mctx, t, minRowFrac).Class
 	})

@@ -589,7 +589,7 @@ func (e *Engine) iterate(ctx context.Context, it int, mctx *match.Context, model
 	// slot; the reduction below runs serially in table order, so the
 	// parallel path emits exactly what the serial one would.
 	e.Cfg.emit(Event{Epoch: e.cur, Iteration: it, Stage: StageMatch, Count: len(newIDs)})
-	scoredByTable, err := par.MapCtx(ctx, e.Cfg.Workers, newIDs, func(_, tid int) map[int]match.Correspondence {
+	scoredByTable, err := par.Map(ctx, e.Cfg.Workers, newIDs, func(_, tid int) map[int]match.Correspondence {
 		t := e.Cfg.Corpus.Table(tid)
 		if t == nil {
 			return nil
@@ -762,7 +762,7 @@ func (e *Engine) detectEntities(ctx context.Context, out *Output, retained map[*
 	out.Detections = make([]newdet.Result, len(out.Entities))
 	if retained == nil {
 		e.detMemo = make(map[string]detMemoEntry)
-		return par.ForEachCtx(ctx, e.Cfg.Workers, len(out.Entities), func(i int) {
+		return par.ForEach(ctx, e.Cfg.Workers, len(out.Entities), func(i int) {
 			out.Detections[i] = e.detector.Detect(out.Entities[i])
 		})
 	}
@@ -790,7 +790,7 @@ func (e *Engine) detectEntities(ctx context.Context, out *Output, retained map[*
 		}
 		missIdx = append(missIdx, i)
 	}
-	if err := par.ForEachCtx(ctx, e.Cfg.Workers, len(missIdx), func(j int) {
+	if err := par.ForEach(ctx, e.Cfg.Workers, len(missIdx), func(j int) {
 		i := missIdx[j]
 		out.Detections[i] = e.detector.Detect(out.Entities[i])
 	}); err != nil {

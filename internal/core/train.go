@@ -96,7 +96,7 @@ func Train(ctx context.Context, cfg Config, g *gold.Standard, trainClusters []in
 	// First-iteration mapping per training table, fanned out over the pool
 	// (trainTables is sorted and duplicate-free, so each worker owns its
 	// table) and reduced serially in table order.
-	perTable, err := par.MapCtx(ctx, cfg.Workers, trainTables, func(_, tid int) map[int]kb.PropertyID {
+	perTable, err := par.Map(ctx, cfg.Workers, trainTables, func(_, tid int) map[int]kb.PropertyID {
 		t := cfg.Corpus.Table(tid)
 		match.EnsureDetected(t)
 		return match.MatchAttributes(mc, models.AttrFirst, firstMatchers, t)
@@ -240,7 +240,7 @@ func detectionExamples(ctx context.Context, cfg Config, g *gold.Standard, trainS
 	// Entity creation per training cluster runs on the pool (VOTING scoring
 	// keeps the sources read-only); the nil-filtering reduction keeps the
 	// examples in cluster order.
-	created, err := par.MapCtx(ctx, cfg.Workers, g.Clusters, func(ci int, c *gold.Cluster) *newdet.Example {
+	created, err := par.Map(ctx, cfg.Workers, g.Clusters, func(ci int, c *gold.Cluster) *newdet.Example {
 		if !trainSet[ci] {
 			return nil
 		}

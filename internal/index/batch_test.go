@@ -29,7 +29,7 @@ func batchCorpus(rng *rand.Rand, n int) []Entry {
 
 // TestAddBatchEquivalentToAdds proves AddBatch produces byte-identical
 // internal state to the same entries applied through serial Adds — postings,
-// document frequencies, length buckets, and every sharded deletion
+// document frequencies, and every sharded deletion
 // neighborhood list, regardless of worker count.
 func TestAddBatchEquivalentToAdds(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -49,9 +49,6 @@ func TestAddBatchEquivalentToAdds(t *testing.T) {
 		}
 		if !reflect.DeepEqual(serial.labels, batched.labels) {
 			t.Fatalf("workers=%d: labels differ", workers)
-		}
-		if !reflect.DeepEqual(serial.byLen, batched.byLen) {
-			t.Fatalf("workers=%d: byLen buckets differ", workers)
 		}
 		if serial.numDocs != batched.numDocs {
 			t.Fatalf("workers=%d: numDocs %d vs %d", workers, serial.numDocs, batched.numDocs)

@@ -2,11 +2,12 @@ package index
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/strsim"
 )
 
 // randASCIIWord generates a lowercase word of 4-10 letters.
@@ -19,25 +20,85 @@ func randASCIIWord(rng *rand.Rand) string {
 	return string(b)
 }
 
+// scanMatchesRef is the executable specification of fuzzyMatches: scan the
+// whole vocabulary for tokens at Levenshtein distance exactly one from t,
+// sorted. The caller holds the read lock.
+func scanMatchesRef(ix *Index, t string) []string {
+	var out []string
+	for vt := range ix.postings {
+		if strsim.Levenshtein(vt, t) == 1 {
+			out = append(out, vt)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// searchRef is Search with the fuzzy fallback taken from scanMatchesRef.
+func searchRef(ix *Index, label string, k int) []Hit {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	scores := make(map[int]float64)
+	for _, t := range strsim.Tokens(label) {
+		if ps, ok := ix.postings[t]; ok {
+			for _, p := range ps {
+				scores[p.doc] += p.tf * ix.idf(t)
+			}
+			continue
+		}
+		if len(t) < minFuzzyQueryLen {
+			continue
+		}
+		for _, vt := range scanMatchesRef(ix, t) {
+			for _, p := range ix.postings[vt] {
+				scores[p.doc] += 0.5 * p.tf * ix.idf(vt)
+			}
+		}
+	}
+	var hits []Hit
+	for doc, s := range scores {
+		hits = append(hits, Hit{Doc: doc, Score: s})
+	}
+	sort.Slice(hits, func(i, j int) bool {
+		if hits[i].Score != hits[j].Score {
+			return hits[i].Score > hits[j].Score
+		}
+		return hits[i].Doc < hits[j].Doc
+	})
+	if len(hits) > k {
+		hits = hits[:k]
+	}
+	return hits
+}
+
 // TestFuzzyMatchesAgreeWithScan proves the deletion-neighborhood index
-// retrieves exactly the distance-1 vocabulary the reference scan did (on
-// ASCII vocabularies, where the scan's byte-length buckets are exact).
+// retrieves exactly the distance-1 vocabulary of a full scan, on a random
+// ASCII vocabulary and on a multi-byte one.
 func TestFuzzyMatchesAgreeWithScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ix := New()
 	for i := 0; i < 400; i++ {
 		ix.Add(i, randASCIIWord(rng)+" "+randASCIIWord(rng))
 	}
+	// A one-rune substitution that changes the byte length by two (ASCII
+	// to a 3-byte rune), so the match is not within one byte of the
+	// query's length.
+	ix.Add(400, "tok東yo")
+	queries := []string{"tokayo"}
+	for i := 0; i < 500; i++ {
+		queries = append(queries, randASCIIWord(rng))
+	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for i := 0; i < 500; i++ {
-		q := randASCIIWord(rng)
+	if got := ix.fuzzyMatches("tokayo"); !reflect.DeepEqual(got, []string{"tok東yo"}) {
+		t.Fatalf("fuzzyMatches(%q) = %v, want the multi-byte neighbour", "tokayo", got)
+	}
+	for _, q := range queries {
 		if _, exact := ix.postings[q]; exact {
 			continue // Search would not fall back for this token
 		}
 		fast := ix.fuzzyMatches(q)
-		slow := ix.scanMatches(q)
-		sort.Strings(slow)
+		slow := scanMatchesRef(ix, q)
 		if len(fast) == 0 && len(slow) == 0 {
 			continue
 		}
@@ -47,9 +108,9 @@ func TestFuzzyMatchesAgreeWithScan(t *testing.T) {
 	}
 }
 
-// TestSearchEquivalentAcrossStrategies proves full Search retrieval is
-// unchanged by the deletion index: same documents, same scores (to float
-// accumulation-order rounding), same ranking.
+// TestSearchEquivalentAcrossStrategies proves full Search retrieval equals
+// the reference whose fuzzy fallback scans the vocabulary: same documents,
+// same scores, same ranking.
 func TestSearchEquivalentAcrossStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ix := New()
@@ -64,28 +125,15 @@ func TestSearchEquivalentAcrossStrategies(t *testing.T) {
 		// carries the score.
 		w := words[rng.Intn(len(words))]
 		q := w[:len(w)-1] + "zq"
-		got := ix.Search(q, 10)
-		SetScanFuzzy(true)
-		want := ix.Search(q, 10)
-		SetScanFuzzy(false)
-		if len(got) != len(want) {
-			t.Fatalf("Search(%q): %d hits via deletion index, %d via scan", q, len(got), len(want))
-		}
-		for j := range got {
-			if got[j].Doc != want[j].Doc {
-				t.Fatalf("Search(%q) hit %d: doc %d vs %d", q, j, got[j].Doc, want[j].Doc)
-			}
-			if math.Abs(got[j].Score-want[j].Score) > 1e-9 {
-				t.Fatalf("Search(%q) hit %d: score %v vs %v", q, j, got[j].Score, want[j].Score)
-			}
+		got, want := ix.Search(q, 10), searchRef(ix, q, 10)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Search(%q) = %v, reference = %v", q, got, want)
 		}
 	}
 }
 
-// TestFuzzyUnicodeRecall documents the recall improvement over the scan:
-// a one-rune substitution that changes the byte length by two (ASCII →
-// 3-byte rune) was invisible to the byte-length-bucketed scan but is
-// found by the deletion-neighborhood index.
+// TestFuzzyUnicodeRecall proves Search reaches a one-rune substitution that
+// changes the byte length by two (ASCII → 3-byte rune).
 func TestFuzzyUnicodeRecall(t *testing.T) {
 	ix := New()
 	ix.Add(1, "tok東yo sights")     // vocab token "tok東yo"
@@ -101,25 +149,17 @@ func TestFuzzyUnicodeRecall(t *testing.T) {
 	}
 }
 
-// BenchmarkFuzzySearch measures a fuzzy (misspelled-token) search through
-// both strategies at a realistic vocabulary size.
+// BenchmarkFuzzySearch measures a fuzzy (misspelled-token) search at a
+// realistic vocabulary size.
 func BenchmarkFuzzySearch(b *testing.B) {
 	ix := New()
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 10000; i++ {
 		ix.Add(i, randASCIIWord(rng)+" "+randASCIIWord(rng))
 	}
-	run := func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ix.Search("abcdzq misspeled", 20)
-		}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.Search("abcdzq misspeled", 20)
 	}
-	b.Run("deletion-index", run)
-	b.Run("scan", func(b *testing.B) {
-		SetScanFuzzy(true)
-		defer SetScanFuzzy(false)
-		run(b)
-	})
 }

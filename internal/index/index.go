@@ -9,24 +9,13 @@ package index
 
 import (
 	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"unicode/utf8"
 
 	"repro/internal/par"
 	"repro/internal/strsim"
 )
-
-// scanFuzzy, when set, forces Search's fuzzy fallback onto the reference
-// length-bucketed vocabulary scan instead of the deletion-neighborhood
-// posting index. It exists for benchmarks (quantifying the index win) and
-// equivalence tests (both strategies must retrieve the same documents);
-// production code never sets it.
-var scanFuzzy atomic.Bool
-
-// SetScanFuzzy toggles the reference fuzzy-scan fallback. Benchmark and
-// test knob only.
-func SetScanFuzzy(v bool) { scanFuzzy.Store(v) }
 
 // Index is an inverted token index over string labels. Each added label is
 // associated with a caller-chosen document ID; several labels may share an
@@ -40,10 +29,6 @@ type Index struct {
 	postings map[string][]posting // token -> docs containing it
 	docFreq  map[string]int       // token -> number of distinct docs
 	labels   map[int][]string     // doc -> normalized labels
-	// byLen buckets the vocabulary by token length. It backs the
-	// reference fuzzy scan (SetScanFuzzy), kept so benchmarks and
-	// equivalence tests can compare strategies.
-	byLen map[int][]string
 	// delNeighbors is the single-deletion neighborhood index behind the
 	// fuzzy fallback (the SymSpell construction): every vocabulary token
 	// is filed under itself and each of its one-rune-deleted variants.
@@ -52,11 +37,9 @@ type Index struct {
 	// same variant on a substitution), so a query token reaches its
 	// distance-1 vocabulary in O(|token|) map lookups plus a
 	// bounded-Levenshtein verification per candidate — instead of
-	// scanning every near-length vocabulary token. On ASCII vocabularies
-	// it retrieves exactly the tokens the reference scan did; on
-	// multi-byte vocabularies it additionally finds distance-1 tokens
-	// whose byte length differs by more than one (which the
-	// byte-length-bucketed scan missed).
+	// scanning the vocabulary. It retrieves every distance-1 token,
+	// including multi-byte neighbours whose byte length differs by more
+	// than one.
 	//
 	// The index is sharded by the variant's first byte so AddBatch can
 	// build it in parallel: each worker owns a disjoint set of shards, so
@@ -94,31 +77,39 @@ func New() *Index {
 		postings: make(map[string][]posting),
 		docFreq:  make(map[string]int),
 		labels:   make(map[int][]string),
-		byLen:    make(map[int][]string),
 	}
 }
 
 // Add indexes label under the document ID doc.
 func (ix *Index) Add(doc int, label string) {
-	toks := strsim.Tokens(label)
-	if len(toks) == 0 {
-		return
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	for _, t := range ix.addLocked(nil, doc, label) {
+		ix.indexDeletions(t)
 	}
+}
+
+// addLocked files label's postings under doc and appends the tokens new to
+// the vocabulary to dst, in sorted order so the deletion-neighborhood lists
+// built from them never inherit Go's randomized map iteration (the repo's
+// outputs are bit-identical across runs). The caller holds the write lock.
+func (ix *Index) addLocked(dst []string, doc int, label string) []string {
+	// Tokenize the stored normalized label itself (strsim.Tokens is Fields
+	// of Normalize), so the label and its new vocabulary tokens share one
+	// string.
 	norm := strsim.Normalize(label)
+	toks := strings.Fields(norm)
+	if len(toks) == 0 {
+		return dst
+	}
 	counts := make(map[string]int, len(toks))
 	for _, t := range toks {
 		counts[t]++
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	if _, seen := ix.labels[doc]; !seen {
 		ix.numDocs++
 	}
 	ix.labels[doc] = append(ix.labels[doc], norm)
-	// Insert tokens in sorted order: the byLen buckets drive the order of
-	// the fuzzy pass's float accumulation, which must not inherit Go's
-	// randomized map iteration (the repo's outputs are bit-identical
-	// across runs).
 	ts := make([]string, 0, len(counts))
 	for t := range counts {
 		ts = append(ts, t)
@@ -131,11 +122,11 @@ func (ix *Index) Add(doc int, label string) {
 			ix.docFreq[t]++
 		}
 		if len(ps) == 0 {
-			ix.byLen[len(t)] = append(ix.byLen[len(t)], t)
-			ix.indexDeletions(t)
+			dst = append(dst, t)
 		}
 		ix.postings[t] = append(ps, posting{doc: doc, tf: float64(counts[t]) / float64(len(toks))})
 	}
+	return dst
 }
 
 // Entry is one (document, label) pair for AddBatch.
@@ -150,8 +141,8 @@ type Entry struct {
 // write lock is held for the whole batch, so concurrent readers observe
 // either none or all of it.
 //
-// Determinism: postings, document frequencies, and byLen buckets are built
-// serially in entry order, exactly as repeated Adds would. The parallel
+// Determinism: postings and document frequencies are built serially in
+// entry order, exactly as repeated Adds would. The parallel
 // phases cannot reorder anything — variant computation is pure, and the
 // per-shard insertion phase groups (variant, token) pairs by shard in token
 // discovery order before handing each shard to exactly one worker, so every
@@ -163,42 +154,16 @@ func (ix *Index) AddBatch(entries []Entry, workers int) {
 	// Phase 1: serial postings build, collecting first-seen vocabulary.
 	var newTokens []string
 	for _, e := range entries {
-		toks := strsim.Tokens(e.Label)
-		if len(toks) == 0 {
-			continue
-		}
-		norm := strsim.Normalize(e.Label)
-		counts := make(map[string]int, len(toks))
-		for _, t := range toks {
-			counts[t]++
-		}
-		if _, seen := ix.labels[e.Doc]; !seen {
-			ix.numDocs++
-		}
-		ix.labels[e.Doc] = append(ix.labels[e.Doc], norm)
-		ts := make([]string, 0, len(counts))
-		for t := range counts {
-			ts = append(ts, t)
-		}
-		sort.Strings(ts)
-		for _, t := range ts {
-			ps := ix.postings[t]
-			if len(ps) == 0 || ps[len(ps)-1].doc != e.Doc {
-				ix.docFreq[t]++
-			}
-			if len(ps) == 0 {
-				ix.byLen[len(t)] = append(ix.byLen[len(t)], t)
-				newTokens = append(newTokens, t)
-			}
-			ix.postings[t] = append(ps, posting{doc: e.Doc, tf: float64(counts[t]) / float64(len(toks))})
-		}
+		newTokens = ix.addLocked(newTokens, e.Doc, e.Label)
 	}
 	if len(newTokens) == 0 {
 		return
 	}
 
 	// Phase 2: per-token deletion variants, computed in parallel (pure).
-	variants := par.Map(workers, newTokens, func(_ int, t string) []string {
+	// AddBatch has no caller context: a nil ctx is never cancelled, so the
+	// fan-outs always run to completion and their errors are always nil.
+	variants, _ := par.Map(nil, workers, newTokens, func(_ int, t string) []string {
 		return appendDeletionVariants(make([]string, 0, len(t)+1), t)
 	})
 
@@ -212,7 +177,7 @@ func (ix *Index) AddBatch(entries []Entry, workers int) {
 			g.ts = append(g.ts, newTokens[i])
 		}
 	}
-	par.ForEach(workers, delShardCount, func(s int) {
+	par.ForEach(nil, workers, delShardCount, func(s int) {
 		g := &groups[s]
 		if len(g.vs) == 0 {
 			return
@@ -279,9 +244,8 @@ func (ix *Index) Search(label string, k int) []Hit {
 		// Fuzzy fallback, per token: admit vocabulary tokens within edit
 		// distance one, distance-penalized. Short tokens are excluded
 		// (an edit on a 1-3 letter token changes its identity). The
-		// candidates come from the deletion-neighborhood index (or the
-		// reference scan when SetScanFuzzy is forced), verified with the
-		// bounded Levenshtein, and are accumulated in sorted order so
+		// candidates come from the deletion-neighborhood index, verified
+		// with the bounded Levenshtein, and are accumulated in sorted order so
 		// float summation order is fixed across runs.
 		if len(t) < minFuzzyQueryLen {
 			continue
@@ -513,13 +477,8 @@ func (ix *Index) indexDeletions(t string) {
 
 // fuzzyMatches returns the vocabulary tokens within edit distance exactly
 // one of query token t, sorted (fixed float accumulation order for the
-// caller). With SetScanFuzzy forced it runs the reference length-bucketed
-// scan instead, in the scan's historical bucket order. The caller holds
-// the read lock.
+// caller). The caller holds the read lock.
 func (ix *Index) fuzzyMatches(t string) []string {
-	if scanFuzzy.Load() {
-		return ix.scanMatches(t)
-	}
 	// Gather candidate tokens sharing a deletion-neighborhood entry with
 	// t: the entry of t itself (insertions into t and t's own postings —
 	// the latter cannot occur, Search only falls back for tokens without
@@ -568,21 +527,6 @@ func (ix *Index) fuzzyMatches(t string) []string {
 	}
 	sort.Strings(matches)
 	return matches
-}
-
-// scanMatches is the pre-optimization fuzzy fallback: scan the
-// byte-length buckets within ±1 of the query token and keep distance-1
-// tokens, in bucket insertion order.
-func (ix *Index) scanMatches(t string) []string {
-	var out []string
-	for l := len(t) - 1; l <= len(t)+1; l++ {
-		for _, vt := range ix.byLen[l] {
-			if strsim.LevenshteinBounded(vt, t, 1) == 1 {
-				out = append(out, vt)
-			}
-		}
-	}
-	return out
 }
 
 func (ix *Index) idf(tok string) float64 {

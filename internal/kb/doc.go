@@ -49,9 +49,6 @@
 // under the same manifest-last discipline and then deletes unreferenced
 // segment files, so a crash mid-compaction also leaves a loadable
 // directory (plus, at worst, orphan files the next compaction removes).
-//
-// Manifests of the pre-segment format (a monolithic instances.ndjson,
-// manifest format 0) are converted on first contact: LoadSnapshot reads
-// the monolith as a single-segment chain, and the next SaveSnapshot or
-// CompactSnapshot rewrites the directory in segmented form.
+// ReadManifest accepts only the segmented format and only canonical
+// segment file names, so a manifest cannot reach outside its directory.
 package kb

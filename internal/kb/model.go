@@ -16,10 +16,10 @@ import (
 
 // scanCandidates, when set, forces the pipeline's Candidates retrieval onto
 // the reference full-index search instead of LSH retrieval plus exact
-// re-ranking. It mirrors index.SetScanFuzzy: an equivalence-test and
-// benchmark knob so recall is verified against the reference, not assumed;
-// production code never sets it. SearchInstances (the serving path) always
-// uses the reference search regardless.
+// re-ranking. It is an equivalence-test and benchmark knob so recall is
+// verified against the reference, not assumed; production code never sets
+// it. SearchInstances (the serving path) always uses the reference search
+// regardless.
 var scanCandidates atomic.Bool
 
 // SetScanCandidates toggles the reference candidate-retrieval path.
@@ -136,9 +136,9 @@ type KB struct {
 	// ProvenanceIngest) in insertion order — the persistence order of
 	// snapshot segments.
 	ingested []InstanceID
-	// labelIdx supports candidate selection: one label index per
-	// evaluation class plus a global one.
-	labelIdx map[ClassID]*index.Index
+	// globalIx is the KB's one label index. Class-restricted retrieval
+	// filters its hits by class (filteredHits), as the paper applies the
+	// class restriction to the hits of its single Lucene index (§3.4).
 	globalIx *index.Index
 	// cand is the LSH candidate index over all instance labels: the
 	// pipeline's Candidates path retrieves from its buckets in
@@ -155,7 +155,6 @@ func New() *KB {
 		classes:  make(map[ClassID]*Class),
 		strs:     strsim.NewInterner(),
 		storeOf:  make(map[ClassID]uint32),
-		labelIdx: make(map[ClassID]*index.Index),
 		globalIx: index.New(),
 		cand:     lsh.NewIndex(lsh.DefaultParams()),
 	}
@@ -217,9 +216,6 @@ func (kb *KB) Version() uint64 { return kb.version.Load() }
 func (kb *KB) AddClass(c *Class) {
 	kb.mu.Lock()
 	kb.classes[c.ID] = c
-	if _, ok := kb.labelIdx[c.ID]; !ok {
-		kb.labelIdx[c.ID] = index.New()
-	}
 	kb.mu.Unlock()
 	kb.version.Add(1)
 }
@@ -366,22 +362,18 @@ func (kb *KB) AddInstance(in *Instance) InstanceID {
 	if in.Provenance == ProvenanceIngest {
 		kb.ingested = append(kb.ingested, in.ID)
 	}
-	classIx := kb.labelIdx[in.Class]
 	kb.mu.Unlock()
 
 	for _, l := range in.Labels {
 		kb.globalIx.Add(int(in.ID), l)
 		kb.cand.Add(int(in.ID), strsim.Normalize(l))
-		if classIx != nil {
-			classIx.Add(int(in.ID), l)
-		}
 	}
 	kb.version.Add(1)
 	return in.ID
 }
 
 // AddInstances stores a batch of instances, equivalent to calling
-// AddInstance for each in order, but builds the label indexes in bulk: the
+// AddInstance for each in order, but builds the label index in bulk: the
 // deletion-neighborhood construction — the dominant cost of a warm restart
 // that replays a written-back KB — parallelizes across index.AddBatch's
 // workers. The version counter is bumped once for the whole batch.
@@ -391,7 +383,6 @@ func (kb *KB) AddInstances(ins []*Instance) []InstanceID {
 	}
 	kb.mu.Lock()
 	ids := make([]InstanceID, len(ins))
-	classIxs := make([]*index.Index, len(ins))
 	for i, in := range ins {
 		in.ID = InstanceID(len(kb.locs))
 		ids[i] = in.ID
@@ -401,26 +392,17 @@ func (kb *KB) AddInstances(ins []*Instance) []InstanceID {
 		if in.Provenance == ProvenanceIngest {
 			kb.ingested = append(kb.ingested, in.ID)
 		}
-		classIxs[i] = kb.labelIdx[in.Class]
 	}
 	kb.mu.Unlock()
 
-	workers := par.DefaultWorkers()
-	var global []index.Entry
-	perClass := make(map[*index.Index][]index.Entry)
-	for i, in := range ins {
+	var entries []index.Entry
+	for _, in := range ins {
 		for _, l := range in.Labels {
-			global = append(global, index.Entry{Doc: int(in.ID), Label: l})
+			entries = append(entries, index.Entry{Doc: int(in.ID), Label: l})
 			kb.cand.Add(int(in.ID), strsim.Normalize(l))
-			if ix := classIxs[i]; ix != nil {
-				perClass[ix] = append(perClass[ix], index.Entry{Doc: int(in.ID), Label: l})
-			}
 		}
 	}
-	kb.globalIx.AddBatch(global, workers)
-	for ix, entries := range perClass {
-		ix.AddBatch(entries, workers)
-	}
+	kb.globalIx.AddBatch(entries, par.DefaultWorkers())
 	kb.version.Add(1)
 	return ids
 }

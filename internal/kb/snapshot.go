@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -19,15 +20,12 @@ import (
 // commits by rewriting the manifest last (temp-file+rename+fsync), so a
 // crash at any point leaves the previous complete snapshot loadable.
 // CompactSnapshot merges the chain back into one segment under the same
-// discipline. The pre-segment format (a monolithic instances.ndjson) is
-// read as a single-segment chain and rewritten in segmented form by the
-// next save or compaction.
+// discipline.
 const (
-	legacyInstancesFile  = "instances.ndjson"
 	snapshotManifestFile = "manifest.json"
 	segmentPattern       = "segment-%06d.ndjson"
 	// snapshotFormatSegmented is the Manifest.Format of the segmented
-	// layout; zero is the legacy monolithic format.
+	// layout, the only one ReadManifest accepts.
 	snapshotFormatSegmented = 2
 )
 
@@ -45,13 +43,13 @@ var snapshotFault func(stage string) error
 
 // SegmentInfo describes one instance segment of a snapshot chain.
 type SegmentInfo struct {
-	// File is the segment's file name inside the snapshot directory.
+	// File is the segment's file name inside the snapshot directory: a
+	// canonical segment-NNNNNN.ndjson base name.
 	File string `json:"file"`
 	// Instances is the number of instance lines in the segment.
 	Instances int `json:"instances"`
 	// FirstEpoch and LastEpoch bound the ingest epochs of the segment's
-	// instances (diagnostic; zero for segments converted from the legacy
-	// monolithic format).
+	// instances (diagnostic).
 	FirstEpoch int `json:"firstEpoch,omitempty"`
 	LastEpoch  int `json:"lastEpoch,omitempty"`
 }
@@ -60,8 +58,8 @@ type SegmentInfo struct {
 // the segment chain holding its ingested instances, and the engine
 // bookkeeping (epochs, ingested tables) needed to resume.
 type Manifest struct {
-	// Format versions the directory layout: snapshotFormatSegmented for
-	// the segment chain, zero for the legacy monolithic instances.ndjson.
+	// Format versions the directory layout; snapshotFormatSegmented is
+	// the only supported value.
 	Format int `json:"format,omitempty"`
 	// SeedInstances is the number of non-ingested (seed) instances in the
 	// KB at save time. LoadSnapshot refuses to load over a KB whose seed
@@ -87,8 +85,7 @@ type Manifest struct {
 	// re-pick) tables processed before the snapshot.
 	Tables map[string][]int `json:"tables,omitempty"`
 	// Segments is the ordered chain of instance segments; LoadSnapshot
-	// replays them in order. Empty in the legacy format, whose single
-	// implicit segment is instances.ndjson.
+	// replays them in order.
 	Segments []SegmentInfo `json:"segments,omitempty"`
 	// NextSegment is the sequence number the next written segment file
 	// will use; it only grows, so a crashed save's orphan file is
@@ -99,16 +96,14 @@ type Manifest struct {
 	CompactedAt int `json:"compactedAt,omitempty"`
 }
 
-// segmentChain returns the manifest's segment chain, synthesizing the
-// implicit single segment of a legacy monolithic manifest.
-func segmentChain(m Manifest) []SegmentInfo {
-	if len(m.Segments) > 0 {
-		return m.Segments
-	}
-	if m.Format == 0 && m.Instances > 0 {
-		return []SegmentInfo{{File: legacyInstancesFile, Instances: m.Instances}}
-	}
-	return nil
+// isSegmentName reports whether name is a canonical segment file name, the
+// exact output of segmentPattern for some sequence number. Anything else —
+// a path with separators, "..", an absolute path — could open a file
+// outside the snapshot directory.
+func isSegmentName(name string) bool {
+	digits := strings.TrimSuffix(strings.TrimPrefix(name, "segment-"), ".ndjson")
+	n, err := strconv.Atoi(digits)
+	return err == nil && fmt.Sprintf(segmentPattern, n) == name
 }
 
 // chainReusable reports whether the prior manifest's segment chain is a
@@ -121,8 +116,8 @@ func chainReusable(dir string, prior Manifest, seeds int, worldKey string, inges
 		return false
 	}
 	total := 0
-	for _, seg := range segmentChain(prior) {
-		if seg.Instances < 0 || strings.ContainsRune(seg.File, os.PathSeparator) {
+	for _, seg := range prior.Segments {
+		if seg.Instances < 0 {
 			return false
 		}
 		if _, err := os.Stat(filepath.Join(dir, seg.File)); err != nil {
@@ -170,7 +165,7 @@ func (kb *KB) SaveSnapshot(dir string, meta Manifest) (Manifest, error) {
 	var chain []SegmentInfo
 	next := 1
 	if prior, err := ReadManifest(dir); err == nil && chainReusable(dir, prior, seeds, meta.WorldKey, len(ingested)) {
-		chain = segmentChain(prior)
+		chain = prior.Segments
 		if prior.NextSegment > next {
 			next = prior.NextSegment
 		}
@@ -226,9 +221,9 @@ func writeManifest(dir string, m Manifest) error {
 
 // removeUnreferenced deletes instance files in dir that the committed
 // manifest does not list — segments a crashed or superseded save left
-// behind, the legacy monolith after conversion, and stale atomicWrite
-// temporaries. Best effort: a file that cannot be removed is retried by
-// the next save or compaction, and never corrupts the snapshot.
+// behind and stale atomicWrite temporaries. Best effort: a file that cannot
+// be removed is retried by the next save or compaction, and never corrupts
+// the snapshot.
 func removeUnreferenced(dir string, m Manifest) {
 	keep := make(map[string]bool, len(m.Segments))
 	for _, seg := range m.Segments {
@@ -243,10 +238,7 @@ func removeUnreferenced(dir string, m Manifest) {
 		if !e.Type().IsRegular() || keep[name] || name == snapshotManifestFile {
 			continue
 		}
-		stale := name == legacyInstancesFile ||
-			(strings.HasPrefix(name, "segment-") && strings.HasSuffix(name, ".ndjson")) ||
-			strings.Contains(name, ".tmp")
-		if stale {
+		if isSegmentName(name) || strings.Contains(name, ".tmp") {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
@@ -289,7 +281,9 @@ func atomicWrite(path string, fill func(*os.File) error) error {
 }
 
 // ReadManifest reads the manifest of a snapshot directory without loading
-// instances. A missing manifest returns ErrNoSnapshot.
+// instances. A missing manifest returns ErrNoSnapshot; a manifest of
+// another format, or one naming a segment file that is not a canonical
+// segment-NNNNNN.ndjson base name, returns an error.
 func ReadManifest(dir string) (Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, snapshotManifestFile))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -302,6 +296,14 @@ func ReadManifest(dir string) (Manifest, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return Manifest{}, fmt.Errorf("kb: decoding manifest: %w", err)
 	}
+	if m.Format != snapshotFormatSegmented {
+		return Manifest{}, fmt.Errorf("kb: unsupported manifest format %d (want %d)", m.Format, snapshotFormatSegmented)
+	}
+	for _, seg := range m.Segments {
+		if !isSegmentName(seg.File) {
+			return Manifest{}, fmt.Errorf("kb: manifest names segment %q, not a segment file of the snapshot directory", seg.File)
+		}
+	}
 	return m, nil
 }
 
@@ -311,8 +313,7 @@ func ReadManifest(dir string) (Manifest, error) {
 // seed instance count, no ingested instances yet); a mismatch returns an
 // error rather than silently duplicating or misaligning instance IDs. A
 // directory without a manifest returns ErrNoSnapshot, which callers
-// treat as a cold start. Legacy monolithic snapshots load as a
-// single-segment chain.
+// treat as a cold start.
 func (kb *KB) LoadSnapshot(dir string) (Manifest, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
@@ -323,7 +324,7 @@ func (kb *KB) LoadSnapshot(dir string) (Manifest, error) {
 			m.SeedInstances, got)
 	}
 	total := 0
-	for _, seg := range segmentChain(m) {
+	for _, seg := range m.Segments {
 		f, err := os.Open(filepath.Join(dir, seg.File))
 		if err != nil {
 			return Manifest{}, fmt.Errorf("kb: opening snapshot segment: %w", err)
@@ -349,17 +350,16 @@ func (kb *KB) LoadSnapshot(dir string) (Manifest, error) {
 // commits the shortened manifest, returning it. The merged segment is
 // written first and the manifest last, so a crash mid-compaction leaves
 // the old chain loadable (plus an orphan merged file the next compaction
-// or save removes). A chain of one segmented-format segment is already
-// compact and returns unchanged; a legacy monolithic snapshot is
-// converted to a numbered segment. Instance bytes are copied verbatim,
+// or save removes). A chain of at most one segment is already compact and
+// returns unchanged. Instance bytes are copied verbatim,
 // so compaction can never alter what LoadSnapshot reconstructs.
 func CompactSnapshot(dir string) (Manifest, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return Manifest{}, err
 	}
-	chain := segmentChain(m)
-	if len(chain) == 0 || (len(chain) == 1 && m.Format == snapshotFormatSegmented && len(m.Segments) == 1) {
+	chain := m.Segments
+	if len(chain) <= 1 {
 		removeUnreferenced(dir, m)
 		return m, nil
 	}
@@ -401,20 +401,9 @@ func CompactSnapshot(dir string) (Manifest, error) {
 		}
 	}
 
-	m.Format = snapshotFormatSegmented
 	m.Segments = []SegmentInfo{merged}
 	m.NextSegment = next + 1
-	if merged.LastEpoch > 0 {
-		m.CompactedAt = merged.LastEpoch
-	} else {
-		// A chain converted from the legacy format carries no per-segment
-		// epochs; fall back to the engine bookkeeping.
-		for _, e := range m.Epochs {
-			if e > m.CompactedAt {
-				m.CompactedAt = e
-			}
-		}
-	}
+	m.CompactedAt = merged.LastEpoch
 	if err := writeManifest(dir, m); err != nil {
 		return Manifest{}, err
 	}

@@ -3,6 +3,7 @@ package kb
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -121,6 +122,53 @@ func TestSnapshotMissingIsErrNoSnapshot(t *testing.T) {
 	}
 	if _, err := ReadManifest(dir); !errors.Is(err, ErrNoSnapshot) {
 		t.Errorf("ReadManifest error = %v, want ErrNoSnapshot", err)
+	}
+}
+
+// TestReadManifestRejectsUnsupported: only the segmented format loads, and
+// every segment must be a canonical base name inside the snapshot
+// directory, so a manifest on disk cannot open files outside it.
+func TestReadManifestRejectsUnsupported(t *testing.T) {
+	dir := t.TempDir()
+	outside := filepath.Join(t.TempDir(), "segment-000001.ndjson")
+	if err := os.WriteFile(outside, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		format int
+		file   string
+		ok     bool
+	}{
+		{"segmented", snapshotFormatSegmented, "segment-000001.ndjson", true},
+		{"seven digits", snapshotFormatSegmented, "segment-1000000.ndjson", true},
+		{"format 0", 0, "segment-000001.ndjson", false},
+		{"format 3", 3, "segment-000001.ndjson", false},
+		{"parent dir", snapshotFormatSegmented, "../segment-000001.ndjson", false},
+		{"subdir", snapshotFormatSegmented, "sub/segment-000001.ndjson", false},
+		{"absolute", snapshotFormatSegmented, outside, false},
+		{"unpadded", snapshotFormatSegmented, "segment-1.ndjson", false},
+		{"legacy monolith", snapshotFormatSegmented, "instances.ndjson", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, err := json.Marshal(Manifest{
+				Format:   tc.format,
+				Segments: []SegmentInfo{{File: tc.file}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, snapshotManifestFile), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = ReadManifest(dir)
+			if tc.ok && err != nil {
+				t.Fatalf("ReadManifest: %v", err)
+			}
+			if !tc.ok && (err == nil || errors.Is(err, ErrNoSnapshot)) {
+				t.Fatalf("ReadManifest error = %v, want a rejection", err)
+			}
+		})
 	}
 }
 

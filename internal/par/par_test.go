@@ -13,7 +13,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		n := 100
 		hits := make([]int32, n)
-		ForEach(workers, n, func(i int) {
+		ForEach(nil, workers, n, func(i int) {
 			atomic.AddInt32(&hits[i], 1)
 		})
 		for i, h := range hits {
@@ -26,8 +26,8 @@ func TestForEachCoversAllIndices(t *testing.T) {
 
 func TestForEachEmpty(t *testing.T) {
 	called := false
-	ForEach(4, 0, func(int) { called = true })
-	ForEach(4, -1, func(int) { called = true })
+	ForEach(nil, 4, 0, func(int) { called = true })
+	ForEach(nil, 4, -1, func(int) { called = true })
 	if called {
 		t.Error("fn called for empty range")
 	}
@@ -35,7 +35,7 @@ func TestForEachEmpty(t *testing.T) {
 
 func TestForEachSerialOrder(t *testing.T) {
 	var got []int
-	ForEach(1, 5, func(i int) { got = append(got, i) })
+	ForEach(nil, 1, 5, func(i int) { got = append(got, i) })
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("serial order broken: %v", got)
@@ -46,7 +46,7 @@ func TestForEachSerialOrder(t *testing.T) {
 func TestMapPreservesOrder(t *testing.T) {
 	in := []int{5, 3, 9, 1, 7, 2}
 	for _, workers := range []int{1, 4} {
-		out := Map(workers, in, func(i, v int) int { return v * v })
+		out, _ := Map(nil, workers, in, func(i, v int) int { return v * v })
 		for i, v := range out {
 			if v != in[i]*in[i] {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
@@ -111,7 +111,7 @@ func TestForEachCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := 0
-	err := ForEachCtx(ctx, 1, 100, func(i int) { ran++ })
+	err := ForEach(ctx, 1, 100, func(i int) { ran++ })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -123,7 +123,7 @@ func TestForEachCtxCancelled(t *testing.T) {
 func TestForEachCtxCancelMidway(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := ForEachCtx(ctx, 4, 10000, func(i int) {
+	err := ForEach(ctx, 4, 10000, func(i int) {
 		if ran.Add(1) == 50 {
 			cancel()
 		}
@@ -142,7 +142,7 @@ func TestForEachCtxCompletesDespiteLateCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int64
-	if err := ForEachCtx(ctx, 4, 100, func(i int) { ran.Add(1) }); err != nil {
+	if err := ForEach(ctx, 4, 100, func(i int) { ran.Add(1) }); err != nil {
 		t.Fatalf("err = %v", err)
 	}
 	if ran.Load() != 100 {
@@ -155,13 +155,16 @@ func TestMapCtxMatchesMap(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	want := Map(4, items, func(_, v int) int { return v * v })
-	got, err := MapCtx(context.Background(), 4, items, func(_, v int) int { return v * v })
+	want, err := Map(nil, 4, items, func(_, v int) int { return v * v })
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Map(context.Background(), 4, items, func(_, v int) int { return v * v })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("MapCtx diverged from Map")
+		t.Error("Map under a live context diverged from Map under nil")
 	}
 }
 

@@ -107,7 +107,7 @@ func NewSuite(opts Options) *Suite {
 // cancelled preparation is not memoized: the next caller retries.
 func (s *Suite) prepare(ctx context.Context) error {
 	_, err := s.prepared.Get(func() (struct{}, error) {
-		err := par.ForEachCtx(ctx, s.Workers, len(s.Corpus.Tables), func(i int) {
+		err := par.ForEach(ctx, s.Workers, len(s.Corpus.Tables), func(i int) {
 			t := s.Corpus.Tables[i]
 			match.EnsureDetected(t)
 		})

@@ -72,7 +72,7 @@ func (s *Suite) Table7Data(ctx context.Context) ([]Table7Row, error) {
 			for n := 1; n <= nMetrics; n++ {
 				metrics := cluster.MetricPrefix(n)
 				scorer, combined := cluster.LearnScorer(metrics, pairs, s.Seed)
-				cl := cluster.ClusterCtx(ctx, testRows, scorer, s.clusterOptions())
+				cl := cluster.Cluster(ctx, testRows, scorer, s.clusterOptions())
 				var produced [][]webtable.RowRef
 				for _, members := range cl.Clusters {
 					refs := make([]webtable.RowRef, len(members))
@@ -121,7 +121,7 @@ func (s *Suite) Table7(ctx context.Context) (*TextTable, error) {
 
 // ClusterRows returns the prepared rows of the class's gold tables,
 // built with the learned first-iteration attribute mapping — the input a
-// clustering study (e.g. examples/songs) feeds to cluster.ClusterCtx with
+// clustering study (e.g. examples/songs) feeds to cluster.Cluster with
 // different scorers. The rows are cached per class; callers must treat
 // them as read-only.
 func (s *Suite) ClusterRows(ctx context.Context, class kb.ClassID) ([]*cluster.Row, error) {
@@ -145,7 +145,7 @@ func (s *Suite) clusterRows(ctx context.Context, class kb.ClassID) ([]*cluster.R
 		mctx := match.NewContext(s.World.KB, s.Corpus)
 		mctx.Class = class
 		firstMatchers := match.FirstIterationMatchers()
-		perTable, err := par.MapCtx(ctx, s.Workers, g.TableIDs, func(_ int, tid int) map[int]kb.PropertyID {
+		perTable, err := par.Map(ctx, s.Workers, g.TableIDs, func(_ int, tid int) map[int]kb.PropertyID {
 			t := s.Corpus.Table(tid)
 			match.EnsureDetected(t)
 			return match.MatchAttributes(mctx, models.AttrFirst, firstMatchers, t)
@@ -327,7 +327,7 @@ func (s *Suite) AblationAggregation(ctx context.Context) (*TextTable, error) {
 				if len(testRows) == 0 {
 					continue
 				}
-				cl := cluster.ClusterCtx(ctx, testRows, scorer, s.clusterOptions())
+				cl := cluster.Cluster(ctx, testRows, scorer, s.clusterOptions())
 				var produced [][]webtable.RowRef
 				for _, members := range cl.Clusters {
 					refs := make([]webtable.RowRef, len(members))

@@ -197,7 +197,7 @@ func (s *Suite) foldRuns(ctx context.Context, class kb.ClassID) ([]*foldRun, err
 		}
 		out := make([]*foldRun, len(folds))
 		errs := make([]error, len(folds))
-		if err := par.ForEachCtx(ctx, s.Workers, len(folds), func(i int) {
+		if err := par.ForEach(ctx, s.Workers, len(folds), func(i int) {
 			out[i], errs[i] = s.runFold(ctx, class, g, folds, i, rowByRef)
 		}); err != nil {
 			return nil, err
@@ -267,7 +267,7 @@ func (s *Suite) runFold(ctx context.Context, class kb.ClassID, g *gold.Standard,
 			}
 		}
 	}
-	cl := cluster.ClusterCtx(ctx, testRows, models.ClusterScorer, s.clusterOptions())
+	cl := cluster.Cluster(ctx, testRows, models.ClusterScorer, s.clusterOptions())
 	fr.allClusters = cl.Clusters
 	fr.allEntities = fusion.CreateAll(src, cl)
 	fr.allDetect = make([]newdet.Result, len(fr.allEntities))

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// The optimized kernels must be provably equivalent to the unexported
+// The optimized kernels must be provably equivalent to the ref_test.go
 // reference implementations: same integers, bit-identical floats. The
 // generators below mix ASCII, multi-byte unicode, empty strings,
 // near-duplicates, and repeated tokens — every shape the pipeline feeds

@@ -373,53 +373,3 @@ func min3(a, b, c int) int {
 	}
 	return a
 }
-
-// ---------------------------------------------------------------------------
-// Reference implementations (pre-optimization), kept unexported so the
-// randomized equivalence tests can prove the optimized kernels compute
-// exactly the same values.
-
-// levenshteinRef is the naive two-row DP over freshly decoded runes.
-func levenshteinRef(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// levenshteinSimRef is the naive normalized similarity (re-decodes both
-// strings for their lengths, as the pre-optimization code did).
-func levenshteinSimRef(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	la, lb := len([]rune(a)), len([]rune(b))
-	m := la
-	if lb > m {
-		m = lb
-	}
-	if m == 0 {
-		return 1
-	}
-	return 1 - float64(levenshteinRef(a, b))/float64(m)
-}

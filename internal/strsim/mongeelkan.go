@@ -115,38 +115,3 @@ func mongeElkanStrs(ta, tb []string) float64 {
 	}
 	return sum / float64(len(ta))
 }
-
-// ---------------------------------------------------------------------------
-// Reference implementations (pre-optimization) for the equivalence tests.
-
-func mongeElkanRef(a, b string) float64 {
-	return mongeElkanTokensRef(Tokens(a), Tokens(b))
-}
-
-func mongeElkanSymRef(a, b string) float64 {
-	ta, tb := Tokens(a), Tokens(b)
-	return (mongeElkanTokensRef(ta, tb) + mongeElkanTokensRef(tb, ta)) / 2
-}
-
-func mongeElkanTokensRef(ta, tb []string) float64 {
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range ta {
-		best := 0.0
-		for _, y := range tb {
-			if s := levenshteinSimRef(x, y); s > best {
-				best = s
-				if best == 1 {
-					break
-				}
-			}
-		}
-		sum += best
-	}
-	return sum / float64(len(ta))
-}

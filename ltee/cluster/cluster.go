@@ -8,6 +8,8 @@
 package cluster
 
 import (
+	"context"
+
 	"repro/internal/cluster"
 )
 
@@ -44,7 +46,7 @@ func MetricPrefix(n int) []Metric { return cluster.MetricPrefix(n) }
 
 // Cluster partitions rows so that rows describing the same instance share
 // a cluster (the one-shot form of the incremental clusterer the engine
-// uses).
-func Cluster(rows []*Row, scorer *Scorer, opts Options) *Clustering {
-	return cluster.Cluster(rows, scorer, opts)
+// uses). Cancelling ctx stops the run early with a partial clustering.
+func Cluster(ctx context.Context, rows []*Row, scorer *Scorer, opts Options) *Clustering {
+	return cluster.Cluster(ctx, rows, scorer, opts)
 }
