@@ -114,10 +114,7 @@ func (bi *BlockIndex) topLabels(norm string, k int) []string {
 	} else {
 		docs := bi.cand.AppendQuery(nil, norm)
 		docs = bi.ix.AppendRareDocs(docs, norm, index.DefaultRareCap)
-		hits = bi.ix.ScoreDocs(norm, index.SortDedupDocs(docs))
-		if len(hits) > k {
-			hits = hits[:k]
-		}
+		hits = bi.ix.ScoreDocs(norm, index.SortDedupDocs(docs), k)
 	}
 	var out []string
 	for _, h := range hits {

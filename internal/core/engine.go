@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,10 +89,32 @@ type Engine struct {
 	// batch actually touched — the bulk of the retained state passes
 	// through unchanged, and without the memos every epoch re-fuses and
 	// re-detects all of it (the dominant super-linear term at scale).
-	// Entries are valid only while the KB version they were computed at
-	// stands, and only for clusters made entirely of retained rows; both
-	// maps are swept to the live cluster set each pass. See createEntities
-	// for the exactness argument.
+	// Both hold entries only for clusters made entirely of retained rows,
+	// and both are swept to the live cluster set each pass.
+	//
+	// An entMemo entry is valid while the KB version it was computed at
+	// stands; see createEntities for the exactness argument.
+	//
+	// A detMemo entry stays valid across KB versions: it stores the ordered
+	// candidate list the entity was classified against, and detectEntities
+	// reuses its Result exactly when the entity's current candidate list is
+	// equal. Exactness: Detect is Classify(e, Candidates(e)), and Classify
+	// reads only
+	//   - the entity's innards, which for an all-retained cluster depend on
+	//     its membership (the key), the frozen mapping of retained tables
+	//     and the class schema; the engine's fusion passes no RowInstance,
+	//     so KBT trust is the constant 0.5 and no KB fact leaks in;
+	//   - the candidates' instance data (labels, class, facts, abstract,
+	//     popularity), which is immutable once added since instance IDs are
+	//     never reused;
+	//   - the detector configuration (metrics, aggregator, thresholds),
+	//     fixed for the engine's lifetime as with all Models.
+	// So equal ordered candidates give an equal Result. The order matters:
+	// ties keep the first candidate. Candidate lists themselves are never
+	// carried across KB versions — IDF uses the global document count, so
+	// any label's list can move when the KB grows — and are recomputed each
+	// pass, which the detector's per-label cache keeps cheap within a
+	// version.
 	entMemo map[string]entMemoEntry
 	detMemo map[string]detMemoEntry
 }
@@ -105,12 +128,11 @@ type entMemoEntry struct {
 	ent       *fusion.Entity
 }
 
-// detMemoEntry is one memoized detection result. Valid while the KB
-// version stands; the detector configuration (thresholds, aggregator,
-// metrics) is fixed for an engine's lifetime, as with all Models.
+// detMemoEntry is one memoized detection: the ordered candidate list an
+// entity was classified against and the Result of that classification.
 type detMemoEntry struct {
-	kbVersion uint64
-	res       newdet.Result
+	cands []kb.InstanceID
+	res   newdet.Result
 }
 
 // clusterMemoKey identifies a cluster by its member row refs. Result()
@@ -751,13 +773,11 @@ func (e *Engine) createEntities(src *fusion.Sources, cl *cluster.Clustering, ret
 	return out
 }
 
-// detectEntities fills out.Detections for out.Entities, reusing memoized
-// results for entities whose cluster membership was already classified at
-// the current KB version. Result is a plain value (no entity identity), the
-// detector reads only the entity's immutable innards and the KB, and the
-// detector's configuration is fixed for the engine's lifetime — so a
-// membership+version hit is exact. Misses fan out over the worker pool and
-// are written back serially.
+// detectEntities fills out.Detections for out.Entities. Entities of
+// all-retained clusters compute their candidate list and reuse the
+// memoized Result when it was classified against the equal ordered list;
+// see detMemo for why that is exact. Everything runs on the worker pool,
+// and the memo is rebuilt serially in entity order.
 func (e *Engine) detectEntities(ctx context.Context, out *Output, retained map[*cluster.Row]bool) error {
 	out.Detections = make([]newdet.Result, len(out.Entities))
 	if retained == nil {
@@ -766,39 +786,36 @@ func (e *Engine) detectEntities(ctx context.Context, out *Output, retained map[*
 			out.Detections[i] = e.detector.Detect(out.Entities[i])
 		})
 	}
-	kbVer := e.Cfg.KB.Version()
-	next := make(map[string]detMemoEntry, len(out.Entities))
-	keys := make([]string, len(out.Entities))
-	var missIdx []int
-	for i, ent := range out.Entities {
-		memoable := true
+	// slots[i] is the memo entry for entity i; its key stays empty for
+	// entities with a batch row, which are never memoized.
+	type slot struct {
+		key   string
+		entry detMemoEntry
+	}
+	slots := make([]slot, len(out.Entities))
+	if err := par.ForEach(ctx, e.Cfg.Workers, len(out.Entities), func(i int) {
+		ent := out.Entities[i]
 		for _, r := range ent.Rows {
 			if !retained[r] {
-				memoable = false
-				break
+				out.Detections[i] = e.detector.Detect(ent)
+				return
 			}
 		}
-		if !memoable {
-			missIdx = append(missIdx, i)
-			continue
+		key := clusterMemoKey(ent.Rows)
+		cands := e.detector.Candidates(ent)
+		m, ok := e.detMemo[key]
+		if !ok || !slices.Equal(m.cands, cands) {
+			m = detMemoEntry{cands: cands, res: e.detector.Classify(ent, cands)}
 		}
-		keys[i] = clusterMemoKey(ent.Rows)
-		if m, ok := e.detMemo[keys[i]]; ok && m.kbVersion == kbVer {
-			out.Detections[i] = m.res
-			next[keys[i]] = m
-			continue
-		}
-		missIdx = append(missIdx, i)
-	}
-	if err := par.ForEach(ctx, e.Cfg.Workers, len(missIdx), func(j int) {
-		i := missIdx[j]
-		out.Detections[i] = e.detector.Detect(out.Entities[i])
+		out.Detections[i] = m.res
+		slots[i] = slot{key: key, entry: m}
 	}); err != nil {
 		return err
 	}
-	for _, i := range missIdx {
-		if keys[i] != "" {
-			next[keys[i]] = detMemoEntry{kbVersion: kbVer, res: out.Detections[i]}
+	next := make(map[string]detMemoEntry, len(out.Entities))
+	for _, sl := range slots {
+		if sl.key != "" {
+			next[sl.key] = sl.entry
 		}
 	}
 	e.detMemo = next

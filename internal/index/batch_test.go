@@ -47,8 +47,8 @@ func TestAddBatchEquivalentToAdds(t *testing.T) {
 		if !reflect.DeepEqual(serial.docFreq, batched.docFreq) {
 			t.Fatalf("workers=%d: docFreq differs", workers)
 		}
-		if !reflect.DeepEqual(serial.labels, batched.labels) {
-			t.Fatalf("workers=%d: labels differ", workers)
+		if !reflect.DeepEqual(serial.docs, batched.docs) {
+			t.Fatalf("workers=%d: stored labels differ", workers)
 		}
 		if serial.numDocs != batched.numDocs {
 			t.Fatalf("workers=%d: numDocs %d vs %d", workers, serial.numDocs, batched.numDocs)
@@ -88,8 +88,10 @@ func TestAddBatchThenAdd(t *testing.T) {
 }
 
 // TestScoreDocsMatchesSearch proves the re-rank contract: scoring the full
-// document universe through ScoreDocs and truncating to k reproduces
-// Search's hits float-for-float, for exact, fuzzy, and mixed queries.
+// document universe through ScoreDocs with bound k reproduces Search's top
+// k float-for-float, for exact, fuzzy, and mixed queries, at every k from
+// one to past the hit count. Duplicate labels on different docs force score
+// ties, so the bounded top-k's doc-ascending tie-break is exercised.
 func TestScoreDocsMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ix := New()
@@ -98,23 +100,41 @@ func TestScoreDocsMatchesSearch(t *testing.T) {
 	for i := 0; i < 250; i++ {
 		w := randASCIIWord(rng)
 		words = append(words, w)
-		ix.Add(i, fmt.Sprintf("%s %s %d", w, randASCIIWord(rng), i%11))
+		label := fmt.Sprintf("%s %s %d", w, randASCIIWord(rng), i%11)
+		if i%5 == 4 {
+			// Same label as an earlier doc: identical scores on two docs.
+			label = ix.Labels(rng.Intn(i))[0]
+		}
+		ix.Add(i, label)
 		allDocs = append(allDocs, i)
 	}
+	// Candidates arrive in arbitrary order; the ranking must not depend on it.
+	rng.Shuffle(len(allDocs), func(i, j int) { allDocs[i], allDocs[j] = allDocs[j], allDocs[i] })
+	ties := 0
 	for i := 0; i < 300; i++ {
 		w := words[rng.Intn(len(words))]
 		q := w + " " + randASCIIWord(rng)
-		if i%3 == 0 {
+		switch i % 3 {
+		case 0:
 			q = w[:len(w)-1] + "zq " + w // misspelling → fuzzy path
+		case 1:
+			q = w[:len(w)-1] + "zq" // fuzzy only
 		}
-		want := ix.Search(q, 10)
-		got := ix.ScoreDocs(q, allDocs)
-		if len(got) > 10 {
-			got = got[:10]
+		for _, k := range []int{1, 3, 10, 60, len(allDocs) + 1} {
+			want := ix.Search(q, k)
+			got := ix.ScoreDocs(q, allDocs, k)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("ScoreDocs(%q, k=%d) = %+v, Search = %+v", q, k, got, want)
+			}
+			for j := 1; j < len(got); j++ {
+				if got[j].Score == got[j-1].Score {
+					ties++
+				}
+			}
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("ScoreDocs(%q) truncated = %+v, Search = %+v", q, got, want)
-		}
+	}
+	if ties == 0 {
+		t.Fatal("no score ties among the compared hits; the tie-break went untested")
 	}
 }
 
@@ -132,7 +152,7 @@ func TestScoreDocsSubset(t *testing.T) {
 	for _, h := range full {
 		byDoc[h.Doc] = h.Score
 	}
-	got := ix.ScoreDocs("green bay", []int{3, 1, 99})
+	got := ix.ScoreDocs("green bay", []int{3, 1, 99, -4, 0}, 10)
 	if len(got) != 2 {
 		t.Fatalf("subset hits = %+v, want docs 1 and 3 only", got)
 	}
@@ -152,17 +172,28 @@ func TestScoreDocsSubset(t *testing.T) {
 	}
 }
 
-// TestScoreDocsEmpty covers the degenerate inputs.
+// TestScoreDocsEmpty covers the degenerate inputs: each returns nil.
 func TestScoreDocsEmpty(t *testing.T) {
 	ix := New()
 	ix.Add(1, "alpha beta")
-	if h := ix.ScoreDocs("", []int{1}); h != nil {
-		t.Fatalf("empty query scored %+v", h)
-	}
-	if h := ix.ScoreDocs("alpha", nil); h != nil {
-		t.Fatalf("empty candidates scored %+v", h)
-	}
-	if h := ix.ScoreDocs("zzzz qqqq", []int{1}); h != nil {
-		t.Fatalf("zero-overlap query scored %+v", h)
+	ix.Add(3, "alpha gamma")
+	for _, tc := range []struct {
+		name  string
+		query string
+		docs  []int
+		k     int
+	}{
+		{"empty query", "", []int{1}, 5},
+		{"no candidates", "alpha", nil, 5},
+		{"k zero", "alpha", []int{1, 3}, 0},
+		{"k negative", "alpha", []int{1, 3}, -2},
+		{"no hits", "zzzz qqqq", []int{1, 3}, 5},
+		{"unknown doc", "alpha", []int{2}, 5},
+		{"negative doc", "alpha", []int{-1}, 5},
+		{"out of range doc", "alpha", []int{4, 1 << 20}, 5},
+	} {
+		if h := ix.ScoreDocs(tc.query, tc.docs, tc.k); h != nil {
+			t.Errorf("%s: ScoreDocs = %+v, want nil", tc.name, h)
+		}
 	}
 }

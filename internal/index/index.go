@@ -19,16 +19,22 @@ import (
 
 // Index is an inverted token index over string labels. Each added label is
 // associated with a caller-chosen document ID; several labels may share an
-// ID (e.g. an instance with multiple labels). All methods are safe for
-// concurrent use: Add takes the write lock, Search/SearchLabels/Labels/Len
-// take the read lock, so lookups may run while later batches add postings
-// (each lookup observes a consistent snapshot — either before or after any
+// ID (e.g. an instance with multiple labels). Document IDs are small
+// non-negative integers: both users number their documents densely (KB
+// instance IDs, blocking label positions), so per-document state lives in
+// a slice indexed by ID. All methods are safe for concurrent use: Add
+// takes the write lock, Search/ScoreDocs/SearchLabels/Labels/Len take the
+// read lock, so lookups may run while later batches add postings (each
+// lookup observes a consistent snapshot — either before or after any
 // concurrent Add, never a torn one).
 type Index struct {
 	mu       sync.RWMutex
 	postings map[string][]posting // token -> docs containing it
 	docFreq  map[string]int       // token -> number of distinct docs
-	labels   map[int][]string     // doc -> normalized labels
+	// docs holds each document's labels in insertion order, each with the
+	// token list Add built for its postings, so ScoreDocs re-ranks from
+	// stored tokens instead of re-tokenizing candidate labels per query.
+	docs [][]storedLabel
 	// delNeighbors is the single-deletion neighborhood index behind the
 	// fuzzy fallback (the SymSpell construction): every vocabulary token
 	// is filed under itself and each of its one-rune-deleted variants.
@@ -71,16 +77,24 @@ type posting struct {
 	tf  float64
 }
 
+// storedLabel is one indexed label: its normalized form and the tokens of
+// that form (strings.Fields of norm, the slice the postings were built
+// from; the tokens are substrings of norm).
+type storedLabel struct {
+	norm string
+	toks []string
+}
+
 // New returns an empty index.
 func New() *Index {
 	return &Index{
 		postings: make(map[string][]posting),
 		docFreq:  make(map[string]int),
-		labels:   make(map[int][]string),
 	}
 }
 
-// Add indexes label under the document ID doc.
+// Add indexes label under the document ID doc, which must be non-negative;
+// the index grows a slot for every ID up to the largest added.
 func (ix *Index) Add(doc int, label string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -106,10 +120,13 @@ func (ix *Index) addLocked(dst []string, doc int, label string) []string {
 	for _, t := range toks {
 		counts[t]++
 	}
-	if _, seen := ix.labels[doc]; !seen {
+	if doc >= len(ix.docs) {
+		ix.docs = append(ix.docs, make([][]storedLabel, doc+1-len(ix.docs))...)
+	}
+	if len(ix.docs[doc]) == 0 {
 		ix.numDocs++
 	}
-	ix.labels[doc] = append(ix.labels[doc], norm)
+	ix.docs[doc] = append(ix.docs[doc], storedLabel{norm: norm, toks: toks})
 	ts := make([]string, 0, len(counts))
 	for t := range counts {
 		ts = append(ts, t)
@@ -203,13 +220,24 @@ func (ix *Index) Len() int {
 func (ix *Index) Labels(doc int) []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	ls := ix.labels[doc]
+	ls := ix.docLabels(doc)
 	if ls == nil {
 		return nil
 	}
 	out := make([]string, len(ls))
-	copy(out, ls)
+	for i, l := range ls {
+		out[i] = l.norm
+	}
 	return out
+}
+
+// docLabels returns doc's stored labels, or nil for an ID never added
+// (negative or out of range included). The caller holds the read lock.
+func (ix *Index) docLabels(doc int) []storedLabel {
+	if doc < 0 || doc >= len(ix.docs) {
+		return nil
+	}
+	return ix.docs[doc]
 }
 
 // Hit is one search result: a document and its retrieval score.
@@ -277,18 +305,23 @@ func (ix *Index) Search(label string, k int) []Hit {
 }
 
 // ScoreDocs scores the given candidate documents against the query label
-// with exactly the TF-IDF computation Search uses, returning every
-// candidate with a nonzero score sorted by (score desc, doc asc), without
-// truncation. It exists as the re-rank half of LSH retrieval: when the
-// candidate set covers Search's top-k documents, the truncated ScoreDocs
-// ranking is float-for-float identical to Search's, because each document's
-// score is accumulated in the same order (query tokens in order, sorted
-// fuzzy variants within a token, the document's labels in insertion order)
-// with the same tf and idf factors. Documents not in the index and
-// zero-overlap candidates are omitted. docs must not contain duplicates.
-func (ix *Index) ScoreDocs(label string, docs []int) []Hit {
+// with exactly the TF-IDF computation Search uses and returns the top k of
+// them with a nonzero score, in (score desc, doc asc) order. It is the
+// re-rank half of LSH retrieval: when the candidate set covers Search's
+// top-k documents, the result is float-for-float identical to Search's,
+// because each document's score is accumulated in the same order (query
+// tokens in order, sorted fuzzy variants within a token, the document's
+// labels in insertion order) with the same tf and idf factors.
+//
+// Scoring reads the tokens Add stored with each label, so a query
+// tokenizes only itself. The ranking is a bounded top-k kept in order
+// while candidates are scored; candidates that cannot enter it are never
+// sorted. Documents not in the index (unknown, negative or out-of-range
+// IDs) and zero-overlap candidates are omitted. docs must not contain
+// duplicates.
+func (ix *Index) ScoreDocs(label string, docs []int, k int) []Hit {
 	toks := strsim.Tokens(label)
-	if len(toks) == 0 || len(docs) == 0 {
+	if len(toks) == 0 || len(docs) == 0 || k <= 0 {
 		return nil
 	}
 	ix.mu.RLock()
@@ -318,18 +351,17 @@ func (ix *Index) ScoreDocs(label string, docs []int) []Hit {
 		return nil
 	}
 
-	hits := make([]Hit, 0, len(docs))
+	var top []Hit
 	for _, d := range docs {
-		labels := ix.labels[d]
+		labels := ix.docLabels(d)
 		if len(labels) == 0 {
 			continue
 		}
 		score, found := 0.0, false
 		for _, c := range contribs {
 			for _, l := range labels {
-				lt := strsim.PrepareCached(l).Tokens
 				n := 0
-				for _, x := range lt {
+				for _, x := range l.toks {
 					if x == c.tok {
 						n++
 					}
@@ -339,7 +371,7 @@ func (ix *Index) ScoreDocs(label string, docs []int) []Hit {
 				}
 				// The same floats Add stored in the posting: tf is
 				// count/len for this label, multiplied in Search's order.
-				tf := float64(n) / float64(len(lt))
+				tf := float64(n) / float64(len(l.toks))
 				if c.fuzzy {
 					score += 0.5 * tf * c.idf
 				} else {
@@ -349,16 +381,32 @@ func (ix *Index) ScoreDocs(label string, docs []int) []Hit {
 			}
 		}
 		if found {
-			hits = append(hits, Hit{Doc: d, Score: score})
+			top = insertTopK(top, Hit{Doc: d, Score: score}, k)
 		}
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Doc < hits[j].Doc
-	})
-	return hits
+	return top
+}
+
+// insertTopK inserts h into top, which holds at most k hits in (score
+// desc, doc asc) order, dropping the weakest hit when top is full. A hit
+// that ranks below a full top is discarded without shifting anything.
+func insertTopK(top []Hit, h Hit, k int) []Hit {
+	ranksBefore := func(a, b Hit) bool {
+		return a.Score > b.Score || (a.Score == b.Score && a.Doc < b.Doc)
+	}
+	if len(top) == k && !ranksBefore(h, top[k-1]) {
+		return top
+	}
+	i := len(top)
+	for i > 0 && ranksBefore(h, top[i-1]) {
+		i--
+	}
+	if len(top) < k {
+		top = append(top, Hit{})
+	}
+	copy(top[i+1:], top[i:len(top)-1])
+	top[i] = h
+	return top
 }
 
 // DefaultRareCap is the posting-list length bound of AppendRareDocs used
@@ -437,10 +485,10 @@ func (ix *Index) SearchLabels(label string, k int) []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	for _, h := range hits {
-		for _, l := range ix.labels[h.Doc] {
-			if !seen[l] {
-				seen[l] = true
-				out = append(out, l)
+		for _, l := range ix.docLabels(h.Doc) {
+			if !seen[l.norm] {
+				seen[l.norm] = true
+				out = append(out, l.norm)
 			}
 		}
 	}

@@ -549,10 +549,7 @@ func (kb *KB) filteredHits(ctx context.Context, label string, opts CandidateOpts
 		norm := strsim.Normalize(label)
 		docs := kb.cand.AppendQuery(nil, norm)
 		docs = kb.globalIx.AppendRareDocs(docs, norm, index.DefaultRareCap)
-		hits = kb.globalIx.ScoreDocs(norm, index.SortDedupDocs(docs))
-		if len(hits) > k*3 {
-			hits = hits[:k*3]
-		}
+		hits = kb.globalIx.ScoreDocs(norm, index.SortDedupDocs(docs), k*3)
 	} else {
 		hits = kb.globalIx.Search(label, k*3)
 	}

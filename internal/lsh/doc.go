@@ -42,11 +42,12 @@
 // matches are cheap to walk by definition, and matches through common
 // (past-cap) tokens need several shared tokens to outrank the floor,
 // which is the high-similarity regime banding covers. The union is then
-// re-ranked with the exact TF-IDF scorer (index.ScoreDocs), so retrieval
-// order and tie-breaking are identical to the reference path whenever the
-// candidate set covers the reference's top hits; the equivalence test in
-// internal/core asserts identical end-to-end output over the seed
-// scenarios.
+// re-ranked with the exact TF-IDF scorer (index.ScoreDocs), which scores
+// each candidate from the tokens its labels were indexed with and keeps
+// only a bounded top-k, so retrieval order and tie-breaking are identical
+// to the reference path whenever the candidate set covers the reference's
+// top hits; the equivalence test in internal/core asserts identical
+// end-to-end output over the seed scenarios.
 //
 // # Determinism
 //

@@ -15,11 +15,11 @@ func TestCandidateCacheExtendsOnKBGrowth(t *testing.T) {
 	d := NewDetector(k, uniformAgg(len(MetricSet())))
 	e := mkEntity("Zebulon Quirk", nil)
 
-	if cands := d.candidates(e); len(cands) != 0 {
+	if cands := d.Candidates(e); len(cands) != 0 {
 		t.Fatalf("unexpected candidates before growth: %v", cands)
 	}
 	// Second lookup hits the cache (same version, same result).
-	if cands := d.candidates(e); len(cands) != 0 {
+	if cands := d.Candidates(e); len(cands) != 0 {
 		t.Fatalf("cached lookup differs: %v", cands)
 	}
 
@@ -29,7 +29,7 @@ func TestCandidateCacheExtendsOnKBGrowth(t *testing.T) {
 		Provenance:  kb.ProvenanceIngest,
 		IngestEpoch: 1,
 	})
-	cands := d.candidates(e)
+	cands := d.Candidates(e)
 	found := false
 	for _, c := range cands {
 		if c == id {

@@ -96,9 +96,18 @@ func NewDetector(k *kb.KB, aggr agg.Aggregator) *Detector {
 }
 
 // Detect classifies one entity: candidate selection, per-candidate
-// aggregated similarity, then threshold classification.
+// aggregated similarity, then threshold classification. It equals
+// Classify(e, Candidates(e)).
 func (d *Detector) Detect(e *fusion.Entity) Result {
-	best, bestScore := d.BestCandidate(e)
+	return d.Classify(e, d.Candidates(e))
+}
+
+// Classify classifies one entity against the given ordered candidate list:
+// per-candidate aggregated similarity, then threshold classification.
+// It reads only the entity, the candidates' instance data and the
+// detector's configuration, so equal inputs give an equal Result.
+func (d *Detector) Classify(e *fusion.Entity, cands []kb.InstanceID) Result {
+	best, bestScore := d.bestCandidate(e, cands)
 	if best < 0 {
 		return Result{IsNew: true, BestScore: -1}
 	}
@@ -115,7 +124,12 @@ func (d *Detector) Detect(e *fusion.Entity) Result {
 // BestCandidate returns the best-matching candidate instance and its
 // aggregated score, or (-1, 0) when no candidates exist.
 func (d *Detector) BestCandidate(e *fusion.Entity) (kb.InstanceID, float64) {
-	cands := d.candidates(e)
+	return d.bestCandidate(e, d.Candidates(e))
+}
+
+// bestCandidate scores every candidate in order and returns the first one
+// with the highest aggregated score, or (-1, 0) for an empty list.
+func (d *Detector) bestCandidate(e *fusion.Entity, cands []kb.InstanceID) (kb.InstanceID, float64) {
 	if len(cands) == 0 {
 		return -1, 0
 	}
@@ -145,10 +159,11 @@ func (d *Detector) Score(env *Env, e *fusion.Entity, inst kb.InstanceID) float64
 	return score
 }
 
-// candidates finds candidate instances for all entity labels with the class
-// restriction of §3.4 (same class or sharing a parent class). Per-label
-// lookups are memoized until the KB grows.
-func (d *Detector) candidates(e *fusion.Entity) []kb.InstanceID {
+// Candidates returns the candidate instances for all entity labels with the
+// class restriction of §3.4 (same class or sharing a parent class), in
+// label order and first-seen order within a label, without duplicates.
+// Per-label lookups are memoized until the KB grows.
+func (d *Detector) Candidates(e *fusion.Entity) []kb.InstanceID {
 	seen := make(map[kb.InstanceID]bool)
 	var out []kb.InstanceID
 	for _, label := range e.Labels {
@@ -210,7 +225,7 @@ func LearnAggregator(k *kb.KB, metrics []Metric, examples []Example, seed int64)
 	d := &Detector{KB: k, Metrics: metrics, Thresholds: dtype.DefaultThresholds(), CandidateK: 20}
 	var pairs []agg.Example
 	for _, ex := range examples {
-		cands := d.candidates(ex.Entity)
+		cands := d.Candidates(ex.Entity)
 		if !ex.IsNew {
 			found := false
 			for _, c := range cands {

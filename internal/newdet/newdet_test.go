@@ -290,7 +290,7 @@ func TestCandidatesDedupAcrossLabels(t *testing.T) {
 	// unique.
 	e := mkEntity("Mark Stone", nil)
 	e.Labels = []string{"Mark Stone", "mark stone"}
-	cands := d.candidates(e)
+	cands := d.Candidates(e)
 	seen := map[kb.InstanceID]bool{}
 	for _, c := range cands {
 		if seen[c] {
@@ -309,7 +309,7 @@ func TestDetectorClassRestriction(t *testing.T) {
 	// A settlement-class entity must not receive player candidates.
 	e := mkEntity("Mark Stone", nil)
 	e.Class = kb.ClassSettlement
-	for _, c := range d.candidates(e) {
+	for _, c := range d.Candidates(e) {
 		inst := k.Instance(c)
 		if inst.Class == kb.ClassGFPlayer {
 			t.Errorf("player instance %v offered to settlement entity", c)
